@@ -28,6 +28,7 @@ std::string_view AuditOutcomeToString(AuditOutcome outcome) {
 
 void AuditLog::Record(AuditEntry entry) {
   entry.sequence = next_sequence_++;
+  if (entries_.size() == kAuditLogCapacity) entries_.pop_front();
   entries_.push_back(std::move(entry));
 }
 

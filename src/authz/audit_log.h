@@ -6,12 +6,18 @@
 // permit statements). The log stores one entry per decision and can
 // materialize itself as a relation, so administrators inspect it with
 // the same retrieve machinery (under their own permissions).
+//
+// The log keeps only the newest kAuditLogCapacity entries: every
+// retrieve records one, so an unbounded log grows a long-running
+// server's memory with the number of requests served. Sequence numbers
+// keep counting across the trim, so a gap below the oldest retained
+// entry shows how much was dropped.
 
 #ifndef VIEWAUTH_AUTHZ_AUDIT_LOG_H_
 #define VIEWAUTH_AUTHZ_AUDIT_LOG_H_
 
+#include <deque>
 #include <string>
-#include <vector>
 
 #include "storage/relation.h"
 
@@ -44,22 +50,30 @@ struct AuditEntry {
   std::string permits;
 };
 
+// Entries an AuditLog retains; older ones are dropped as new ones arrive.
+inline constexpr size_t kAuditLogCapacity = 4096;
+
 class AuditLog {
  public:
+  // Appends `entry` with the next sequence number, dropping the oldest
+  // retained entry when the log is at capacity.
   void Record(AuditEntry entry);
 
-  const std::vector<AuditEntry>& entries() const { return entries_; }
+  // The retained entries, oldest first.
+  const std::deque<AuditEntry>& entries() const { return entries_; }
   int size() const { return static_cast<int>(entries_.size()); }
   void Clear() { entries_.clear(); }
 
+  // The retained entries as a relation:
   // AUDIT = (SEQ, USER, STATEMENT, OUTCOME, AFFECTED, WITHHELD, PERMITS).
   Relation Materialize() const;
 
-  // Human-readable listing (most recent last).
+  // Human-readable listing of the retained entries, or of the newest
+  // `last_n` of them (most recent last).
   std::string ToString(int last_n = 0) const;
 
  private:
-  std::vector<AuditEntry> entries_;
+  std::deque<AuditEntry> entries_;
   long long next_sequence_ = 1;
 };
 

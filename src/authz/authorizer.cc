@@ -682,7 +682,7 @@ Relation Authorizer::ApplyMaskVectorized(const Relation& answer,
   ColumnBatch batch;
   std::vector<uint32_t> sel;
   ExecMeter meter(ctx);
-  const std::vector<Tuple>& rows = answer.rows();
+  const std::span<const Tuple> rows = answer.rows();
   for (size_t wb = 0; wb < rows.size(); wb += kColumnBatchRows) {
     const size_t n = std::min<size_t>(kColumnBatchRows, rows.size() - wb);
     if (!meter.TickRows(static_cast<long long>(n))) break;
@@ -814,7 +814,7 @@ Relation Authorizer::ApplyWideMaskVectorized(
   ColumnBatch batch;
   std::vector<uint32_t> sel;
   ExecMeter meter(ctx);
-  const std::vector<Tuple>& rows = wide_answer.rows();
+  const std::span<const Tuple> rows = wide_answer.rows();
   for (size_t wb = 0; wb < rows.size(); wb += kColumnBatchRows) {
     const size_t n = std::min<size_t>(kColumnBatchRows, rows.size() - wb);
     if (!meter.TickRows(static_cast<long long>(n))) break;

@@ -44,8 +44,12 @@ std::string PrintRelation(const Relation& relation,
   for (const Attribute& attr : relation.schema().attributes()) {
     header.push_back(attr.name);
   }
-  std::vector<Tuple> data =
-      options.sorted ? relation.SortedRows() : relation.rows();
+  std::vector<Tuple> sorted;
+  std::span<const Tuple> data = relation.rows();
+  if (options.sorted) {
+    sorted = relation.SortedRows();
+    data = sorted;
+  }
   std::vector<std::vector<std::string>> rows;
   rows.reserve(data.size());
   for (const Tuple& tuple : data) {

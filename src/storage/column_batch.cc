@@ -79,7 +79,7 @@ void ColumnVector::Classify() {
   }
 }
 
-void ColumnVector::GatherDense(const std::vector<Tuple>& rows, size_t begin,
+void ColumnVector::GatherDense(std::span<const Tuple> rows, size_t begin,
                                size_t count, int col) {
   boxed_.resize(count);
   for (size_t i = 0; i < count; ++i) {
@@ -88,7 +88,7 @@ void ColumnVector::GatherDense(const std::vector<Tuple>& rows, size_t begin,
   Classify();
 }
 
-void ColumnVector::GatherIds(const std::vector<Tuple>& rows,
+void ColumnVector::GatherIds(std::span<const Tuple> rows,
                              const uint32_t* ids, size_t count, int col) {
   boxed_.resize(count);
   for (size_t i = 0; i < count; ++i) {
@@ -97,9 +97,9 @@ void ColumnVector::GatherIds(const std::vector<Tuple>& rows,
   Classify();
 }
 
-void ColumnBatch::ResetDense(const std::vector<Tuple>& rows, size_t begin,
+void ColumnBatch::ResetDense(std::span<const Tuple> rows, size_t begin,
                              size_t count, int arity) {
-  rows_ = &rows;
+  rows_ = rows;
   begin_ = begin;
   ids_ = nullptr;
   count_ = count;
@@ -107,9 +107,9 @@ void ColumnBatch::ResetDense(const std::vector<Tuple>& rows, size_t begin,
   gathered_.assign(arity, 0);
 }
 
-void ColumnBatch::ResetIds(const std::vector<Tuple>& rows, const uint32_t* ids,
+void ColumnBatch::ResetIds(std::span<const Tuple> rows, const uint32_t* ids,
                            size_t count, int arity) {
-  rows_ = &rows;
+  rows_ = rows;
   begin_ = 0;
   ids_ = ids;
   count_ = count;
@@ -120,9 +120,9 @@ void ColumnBatch::ResetIds(const std::vector<Tuple>& rows, const uint32_t* ids,
 const ColumnVector& ColumnBatch::column(int col) {
   if (gathered_[col] == 0) {
     if (ids_ != nullptr) {
-      columns_[col].GatherIds(*rows_, ids_, count_, col);
+      columns_[col].GatherIds(rows_, ids_, count_, col);
     } else {
-      columns_[col].GatherDense(*rows_, begin_, count_, col);
+      columns_[col].GatherDense(rows_, begin_, count_, col);
     }
     gathered_[col] = 1;
   }

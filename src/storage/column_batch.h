@@ -22,6 +22,7 @@
 #define VIEWAUTH_STORAGE_COLUMN_BATCH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -49,10 +50,10 @@ class ColumnVector {
  public:
   // Gathers `count` cells of column `col` from rows
   // [begin, begin + count) of `rows`.
-  void GatherDense(const std::vector<Tuple>& rows, size_t begin, size_t count,
+  void GatherDense(std::span<const Tuple> rows, size_t begin, size_t count,
                    int col);
   // Gathers `count` cells of column `col` from rows ids[0..count).
-  void GatherIds(const std::vector<Tuple>& rows, const uint32_t* ids,
+  void GatherIds(std::span<const Tuple> rows, const uint32_t* ids,
                  size_t count, int col);
 
   ColumnClass cls() const { return cls_; }
@@ -74,17 +75,17 @@ class ColumnVector {
   std::vector<const std::string*> str_;
 };
 
-// A window of rows over a Relation's tuple vector with per-column
+// A window of rows over a Relation's rows with per-column
 // lazily gathered ColumnVectors. Reusable: Reset* keeps column
 // capacity across batches.
 class ColumnBatch {
  public:
   // Dense window over rows [begin, begin + count).
-  void ResetDense(const std::vector<Tuple>& rows, size_t begin, size_t count,
+  void ResetDense(std::span<const Tuple> rows, size_t begin, size_t count,
                   int arity);
   // Window over the listed row ids (pointer must stay valid while the
   // batch is in use).
-  void ResetIds(const std::vector<Tuple>& rows, const uint32_t* ids,
+  void ResetIds(std::span<const Tuple> rows, const uint32_t* ids,
                 size_t count, int arity);
 
   size_t size() const { return count_; }
@@ -92,7 +93,7 @@ class ColumnBatch {
   uint32_t row_id(size_t i) const {
     return ids_ != nullptr ? ids_[i] : static_cast<uint32_t>(begin_ + i);
   }
-  const Tuple& row(size_t i) const { return (*rows_)[row_id(i)]; }
+  const Tuple& row(size_t i) const { return rows_[row_id(i)]; }
 
   // Column `col`, gathered on first access per Reset.
   const ColumnVector& column(int col);
@@ -106,7 +107,7 @@ class ColumnBatch {
   Tuple ProjectRow(size_t i, const std::vector<int>& cols) const;
 
  private:
-  const std::vector<Tuple>* rows_ = nullptr;
+  std::span<const Tuple> rows_;
   size_t begin_ = 0;
   const uint32_t* ids_ = nullptr;
   size_t count_ = 0;

@@ -8,9 +8,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -25,8 +25,10 @@ class Relation {
   Relation() = default;
   explicit Relation(RelationSchema schema) : schema_(std::move(schema)) {}
 
-  // Copies and moves transfer the data but not the lazily-built indexes
-  // (each copy rebuilds its own on demand, under its own lock).
+  // A copy is O(1) in the number of rows: it shares the row store and
+  // sees the same visible prefix. Copies and moves do not carry the
+  // lazily-built indexes (each copy rebuilds its own on demand, under its
+  // own lock).
   Relation(const Relation& other);
   Relation& operator=(const Relation& other);
   Relation(Relation&& other) noexcept;
@@ -38,9 +40,9 @@ class Relation {
   // Fails on arity or type mismatch, or on a primary-key violation (same
   // key, different non-key values) when the schema declares a key.
   Status Insert(Tuple tuple);
-  // Inserts without schema validation (for operator outputs whose tuples
-  // are correct by construction). Still deduplicates. Returns true if the
-  // tuple was new.
+  // Inserts without schema validation or key check (for operator outputs
+  // whose tuples are correct by construction). Still deduplicates.
+  // Returns true if the tuple was new.
   bool InsertUnchecked(Tuple tuple);
 
   // Removes a tuple if present; returns true if it was removed.
@@ -48,11 +50,16 @@ class Relation {
   void Clear();
 
   bool Contains(const Tuple& tuple) const;
-  int size() const { return static_cast<int>(rows_.size()); }
-  bool empty() const { return rows_.empty(); }
+  int size() const { return static_cast<int>(count_); }
+  bool empty() const { return count_ == 0; }
 
-  // Insertion-ordered rows.
-  const std::vector<Tuple>& rows() const { return rows_; }
+  // Insertion-ordered rows. The span stays valid, and its rows never
+  // move, for as long as this relation is not mutated — other copies
+  // appending to the shared store do not disturb it.
+  std::span<const Tuple> rows() const {
+    if (store_ == nullptr) return {};
+    return {store_->rows.get(), count_};
+  }
 
   // Rows sorted lexicographically (deterministic display/comparison).
   std::vector<Tuple> SortedRows() const;
@@ -61,7 +68,8 @@ class Relation {
   // lazily on first use and rebuilt after mutations (cheap version
   // check). Building is mutex-guarded, so concurrent read-only sessions
   // may share one relation; mutations must still be externally excluded
-  // from readers (the engine's statement locking provides this).
+  // from readers of the same Relation object (the engine's snapshots
+  // give every reader its own object).
   // Index lookups use strict Value equality, so callers must
   // coerce probe constants to the column's type (the engine's literal
   // coercion already guarantees this for stored data).
@@ -89,12 +97,46 @@ class Relation {
   bool SameTuples(const Relation& other) const;
 
  private:
+  // The hash index of one append history; defined in relation.cc.
+  struct RowIndex;
+
+  // An append-only tuple buffer (DESIGN.md §16). Every copy forked from
+  // one writer shares it and sees its own prefix [0, count_). The
+  // buffer is allocated once at a fixed capacity, so row addresses are
+  // stable, and an append writes a slot no other copy can see; when it
+  // is full the writer doubles into a new RowStore that shares `index`,
+  // and older copies keep the old buffer alive.
+  struct RowStore {
+    explicit RowStore(size_t capacity)
+        : capacity(capacity), rows(std::make_unique<Tuple[]>(capacity)) {}
+    const size_t capacity;
+    const std::unique_ptr<Tuple[]> rows;
+    std::shared_ptr<RowIndex> index;
+  };
+
+  enum class AddOutcome { kAppended, kDuplicate, kKeyConflict };
+
   // Validates tuple types against the schema; NULLs are always accepted.
   Status ValidateTuple(const Tuple& tuple) const;
+  // Hash and equality of the index key: the primary key's cells, or the
+  // whole tuple when the schema declares no key.
+  size_t KeyHash(const Tuple& tuple) const;
+  bool KeyEqual(const Tuple& a, const Tuple& b) const;
+  // The visible row equal to `tuple`, or -1.
+  long long Find(const Tuple& tuple) const;
+  // Appends `tuple` unless an equal row is visible or, with `check_key`,
+  // a visible row shares its key. Moves from `tuple` only when appending.
+  AddOutcome Add(Tuple& tuple, bool check_key);
+  // Leaves this relation the sole owner of a store holding exactly its
+  // visible rows: in place when it already is, otherwise by copying the
+  // visible prefix into a fresh store and index.
+  void Privatize();
+  // Rebuilds the row index of an exclusively owned store.
+  void Reindex();
 
   RelationSchema schema_;
-  std::vector<Tuple> rows_;
-  std::unordered_set<Tuple, TupleHash> index_;
+  std::shared_ptr<RowStore> store_;
+  size_t count_ = 0;
   // Lazily-built per-column indexes, keyed by column; `version_` detects
   // staleness after Insert/Erase/Clear. `index_mutex_` serializes builds
   // from concurrent readers.
@@ -110,10 +152,11 @@ class Relation {
 // scheme, addressable by name.
 //
 // Copies are shallow and copy-on-write: a copy shares the schema object
-// and every relation with the original, and the first mutation through
-// either instance clones just the touched relation (or the schema, for
-// DDL) before writing. This is what makes forking an engine snapshot
-// O(#relations) pointer copies instead of a deep copy of all data —
+// and every Relation object with the original, and the first mutation
+// through either instance copies just the touched Relation (or the
+// schema, for DDL) before writing. A Relation copy shares the row store
+// and only fixes its visible row count, so forking an engine snapshot
+// is O(#relations) pointer copies and a write costs no row copies —
 // readers pinning the old instance keep an immutable view.
 class DatabaseInstance {
  public:
@@ -128,9 +171,9 @@ class DatabaseInstance {
   Status CreateRelation(RelationSchema schema);
   Status DropRelation(std::string_view name);
 
-  // The non-const lookup is the write path: if the relation is shared
-  // with another instance (a pinned snapshot), it is cloned first so the
-  // mutation stays invisible to the sharer.
+  // The non-const lookup is the write path: if the Relation object is
+  // shared with another instance (a pinned snapshot), the writer gets its
+  // own O(1) copy first, so the mutation stays invisible to the sharer.
   Result<Relation*> GetRelation(std::string_view name);
   Result<const Relation*> GetRelation(std::string_view name) const;
   bool HasRelation(std::string_view name) const {

@@ -46,10 +46,6 @@ class Tuple {
   std::vector<Value> values_;
 };
 
-struct TupleHash {
-  size_t operator()(const Tuple& t) const { return t.Hash(); }
-};
-
 std::ostream& operator<<(std::ostream& os, const Tuple& tuple);
 
 }  // namespace viewauth

@@ -3,6 +3,8 @@
 
 #include "authz/audit_log.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
@@ -102,6 +104,39 @@ TEST_F(AuditLogTest, MaterializeAndRender) {
   std::string last = engine_.audit_log().ToString(1);
   EXPECT_EQ(last.find("Nobody"), std::string::npos);
   EXPECT_NE(last.find("Brown"), std::string::npos);
+}
+
+TEST(AuditLogRetentionTest, KeepsTheNewestEntriesWithMonotonicSequences) {
+  AuditLog log;
+  constexpr int kRecorded = 10'000;
+  for (int i = 0; i < kRecorded; ++i) {
+    AuditEntry entry;
+    entry.user = "u" + std::to_string(i);
+    entry.statement = "retrieve (T.A)";
+    log.Record(std::move(entry));
+  }
+  ASSERT_EQ(log.size(), static_cast<int>(kAuditLogCapacity));
+  // The retained window is the newest entries, in order, with their
+  // original sequence numbers (counting did not restart at the trim).
+  const long long first =
+      kRecorded - static_cast<long long>(kAuditLogCapacity) + 1;
+  EXPECT_EQ(log.entries().front().sequence, first);
+  EXPECT_EQ(log.entries().back().sequence, kRecorded);
+  EXPECT_EQ(log.entries().back().user, "u" + std::to_string(kRecorded - 1));
+  for (size_t i = 1; i < log.entries().size(); ++i) {
+    ASSERT_EQ(log.entries()[i].sequence, log.entries()[i - 1].sequence + 1);
+  }
+  // The next record continues the sequence and still respects the bound.
+  log.Record(AuditEntry{});
+  EXPECT_EQ(log.size(), static_cast<int>(kAuditLogCapacity));
+  EXPECT_EQ(log.entries().back().sequence, kRecorded + 1);
+  // Materialize and ToString read the retained window.
+  EXPECT_EQ(log.Materialize().size(), static_cast<int>(kAuditLogCapacity));
+  const std::string newest = log.ToString(2);
+  EXPECT_NE(newest.find("#" + std::to_string(kRecorded) + " [u" +
+                        std::to_string(kRecorded - 1) + "]"),
+            std::string::npos);
+  EXPECT_EQ(log.ToString().find("[u0]"), std::string::npos);
 }
 
 }  // namespace

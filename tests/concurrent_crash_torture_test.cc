@@ -25,6 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/file.h"
@@ -109,6 +111,7 @@ class ConcurrentCrashTortureTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "viewauth_cct_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
     std::remove(path_.c_str());
   }

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/file.h"
@@ -92,6 +94,7 @@ class CrashTortureTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "viewauth_torture_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
     std::remove(path_.c_str());
   }

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/file.h"
 #include "test_fs_util.h"
 
@@ -44,6 +46,7 @@ class DurableTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "viewauth_durable_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
     std::remove(path_.c_str());
   }

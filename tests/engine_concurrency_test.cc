@@ -2,12 +2,15 @@
 // as different users while a mutator thread flips grants and an insert
 // thread loads rows. Exercises snapshot-isolated retrieves, the
 // internally synchronized authorization cache, group-commit reader
-// liveness and snapshot refcount hygiene (run under
+// liveness, snapshot refcount hygiene and readers scanning relations
+// whose shared row store a writer is appending to (run under
 // -DVIEWAUTH_SANITIZE=thread and address by tools/check.sh).
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 
 #include "engine/durable.h"
 #include "engine/engine.h"
+#include "storage/relation.h"
 #include "test_fs_util.h"
 
 namespace viewauth {
@@ -212,6 +216,141 @@ TEST(EngineConcurrencyTest, AbortedAndCancelledRetrievesReleaseSnapshots) {
   EXPECT_EQ(engine.snapshots_live(), 1);
   ASSERT_TRUE(engine.Execute("insert into T values (4)").ok());
   ASSERT_TRUE(engine.Execute("retrieve (T.A) as u").ok());
+  EXPECT_EQ(engine.snapshots_live(), 1);
+}
+
+// Readers pin published relation copies and full-scan them through the
+// lazy column image and both index kinds while a writer appends to the
+// row store they share. Publication mirrors the engine's: the writer
+// copies the head (O(1), sharing the store), appends one row to the
+// copy, and swaps it in under a mutex. Every pinned copy must look
+// exactly like the prefix it was published with.
+TEST(EngineConcurrencyTest, ReadersScanPinnedRelationsWhileWriterAppends) {
+  const RelationSchema schema =
+      RelationSchema::Make("R",
+                           {{"K", ValueType::kInt64}, {"V", ValueType::kInt64}},
+                           {0})
+          .value();
+  constexpr int kRows = 2048;
+  std::mutex publish_mutex;
+  std::shared_ptr<const Relation> published =
+      std::make_shared<const Relation>(schema);
+  auto pin = [&] {
+    std::lock_guard<std::mutex> lock(publish_mutex);
+    return published;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> scans{0};
+
+  auto check = [&](const Relation& rel) {
+    const size_t n = static_cast<size_t>(rel.size());
+    const ColumnVector& keys = rel.ColumnOn(0);
+    const ColumnVector& values = rel.ColumnOn(1);
+    if (keys.size() != n || values.size() != n) return false;
+    for (size_t i = 0; i < n; ++i) {
+      const long long k = static_cast<long long>(i);
+      if (keys.value(i) != Value::Int64(k) ||
+          values.value(i) != Value::Int64(2 * k)) {
+        return false;
+      }
+    }
+    const Relation::ColumnIndex& by_key = rel.IndexOn(0);
+    if (by_key.size() != n) return false;
+    if (n > 0 && (by_key.count(Value::Int64(0)) != 1 ||
+                  by_key.count(Value::Int64(static_cast<long long>(n) - 1)) !=
+                      1 ||
+                  by_key.count(Value::Int64(static_cast<long long>(n))) != 0)) {
+      return false;
+    }
+    const Relation::OrderedIndex& by_value = rel.OrderedIndexOn(1);
+    if (by_value.size() != n) return false;
+    for (size_t i = 0; i < n; ++i) {
+      if (by_value[i].first != Value::Int64(2 * static_cast<long long>(i)) ||
+          by_value[i].second != static_cast<int>(i)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto reader = [&] {
+    int last_seen = 0;
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = done.load(std::memory_order_acquire);
+      std::shared_ptr<const Relation> snapshot = pin();
+      if (snapshot->size() < last_seen || !check(*snapshot)) {
+        failures.fetch_add(1);
+      }
+      last_seen = snapshot->size();
+      scans.fetch_add(1);
+    }
+    if (last_seen != kRows) failures.fetch_add(1);
+  };
+  auto writer = [&] {
+    for (int k = 0; k < kRows; ++k) {
+      Relation next = *pin();
+      if (!next.Insert(Tuple({Value::Int64(k), Value::Int64(2 * k)})).ok()) {
+        failures.fetch_add(1);
+      }
+      auto fresh = std::make_shared<const Relation>(std::move(next));
+      std::lock_guard<std::mutex> lock(publish_mutex);
+      published = std::move(fresh);
+    }
+    done.store(true, std::memory_order_release);
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(reader);
+  threads.emplace_back(reader);
+  threads.emplace_back(writer);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(scans.load(), 2);
+}
+
+// The same through the engine: retrieves served by the column image
+// (column-column selection), the hash index (equality) and the ordered
+// index (range) run while 2048 inserts append to the relation they read.
+TEST(EngineConcurrencyTest, RetrievesWhileInsertsAppendToTheRowStore) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ExecuteScript(R"(
+    relation R (K int key, V int)
+    view ALL_R (R.K, R.V)
+    permit ALL_R to u
+  )")
+                  .ok());
+  constexpr int kRows = 2048;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  auto reader = [&](int which) {
+    const char* queries[] = {
+        "retrieve (R.K, R.V) where R.K = R.V as u",
+        "retrieve (R.K, R.V) where R.V = 100 as u",
+        "retrieve (R.K, R.V) where R.V >= 1000 as u",
+    };
+    for (int i = which; !done.load(std::memory_order_acquire); ++i) {
+      if (!engine.Execute(queries[i % 3]).ok()) failures.fetch_add(1);
+    }
+  };
+  auto writer = [&] {
+    for (int k = 0; k < kRows; ++k) {
+      const std::string v = std::to_string(k);
+      if (!engine.Execute("insert into R values (" + v + ", " + v + ")")
+               .ok()) {
+        failures.fetch_add(1);
+      }
+    }
+    done.store(true, std::memory_order_release);
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(reader, 0);
+  threads.emplace_back(reader, 1);
+  threads.emplace_back(writer);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine.db().GetRelation("R").value()->size(), kRows);
   EXPECT_EQ(engine.snapshots_live(), 1);
 }
 

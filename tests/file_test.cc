@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include <unistd.h>
+
 namespace viewauth {
 namespace {
 
@@ -21,6 +23,7 @@ class FileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     base_ = ::testing::TempDir() + "viewauth_file_" +
+            std::to_string(getpid()) + "_" +
             std::to_string(reinterpret_cast<uintptr_t>(this));
     path_ = base_ + ".dat";
     other_ = base_ + ".other";

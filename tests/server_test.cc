@@ -13,7 +13,10 @@
 #include <string>
 #include <thread>
 
+#include "common/file.h"
+#include "engine/durable.h"
 #include "server/client.h"
+#include "test_fs_util.h"
 
 namespace viewauth {
 namespace {
@@ -273,37 +276,62 @@ TEST_F(ServerTest, AtCapacityConnectionsAreRejectedStructurally) {
 }
 
 TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesQueued) {
-  ASSERT_TRUE(engine_.ExecuteScript(CrossProductScript(1200)).ok());
-  StartServer(&engine_);
+  // A durable backend whose fsyncs park at a gate: the in-flight request
+  // is a commit held at its fsync until the drain has provably begun,
+  // so the test never races a sleep against the request's run time.
+  const std::string path = ::testing::TempDir() + "viewauth_drain_test.log";
+  std::remove(path.c_str());
+  GateFileSystem gate(FileSystem::Default());
+  DurableOptions durable_options;
+  durable_options.fs = &gate;
+  auto durable = DurableEngine::Open(path, durable_options);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  ASSERT_TRUE((*durable)
+                  ->ExecuteScript("relation A (AK string key, X int)\n"
+                                  "insert into A values (a1, 1)\n"
+                                  "view VA (A.X)\n"
+                                  "permit VA to Brown\n")
+                  .ok());
+  Engine& engine = (*durable)->engine();
+  server_ = std::make_unique<Server>(durable->get());
+  auto listener = ListenSocket::ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  ASSERT_TRUE(server_->Start(std::move(*listener)).ok());
 
-  // Pipeline two requests on a raw connection: a slow cross product and
-  // a fast probe, then drain while the first is in flight.
+  // Pipeline two requests on a raw admin connection: a commit that parks
+  // at the gate, and a fast probe queued behind it.
   auto socket = ConnectTcp("127.0.0.1", server_->port(), 1000);
   ASSERT_TRUE(socket.ok());
   ASSERT_TRUE(
-      WriteFully(*(*socket), EncodeFrame(FrameType::kHello, "Brown"), 1000)
+      WriteFully(*(*socket), EncodeFrame(FrameType::kHello, "admin"), 1000)
           .ok());
   auto hello_ack = ReadFrame(*(*socket), kDefaultMaxFrameBytes, 2000, 1000);
   ASSERT_TRUE(hello_ack.ok()) << hello_ack.status();
 
   RequestPayload slow;
   slow.id = 1;
-  slow.statement = std::string(kCrossQuery) + " as Brown";
+  slow.statement = "insert into A values (a2, 2)";
   RequestPayload fast;
   fast.id = 2;
   fast.statement = "retrieve (A.X) where A.X = 1 as Brown";
   std::string pipelined =
       EncodeFrame(FrameType::kRequest, EncodeRequest(slow)) +
       EncodeFrame(FrameType::kRequest, EncodeRequest(fast));
+  gate.CloseGate();
   ASSERT_TRUE(WriteFully(*(*socket), pipelined, 1000).ok());
+  gate.AwaitWaiter();  // the commit is in flight, parked at its fsync
 
-  std::thread stopper([&] {
-    // Let the slow retrieve start, then drain.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    server_->Stop();
-  });
+  std::thread stopper([&] { server_->Stop(); });
+  // Stop() raises the server's drain flag before the engine's, so once
+  // the engine sheds retrieves the queued probe can only be refused.
+  const auto give_up = Clock::now() + std::chrono::seconds(30);
+  while (engine.Execute("retrieve (A.X) as Brown").ok() &&
+         Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.OpenGate();
 
-  // The in-flight retrieve completes with its full result.
+  // The in-flight request completes.
   auto first = ReadFrame(*(*socket), kDefaultMaxFrameBytes, 60'000, 5000);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_EQ(first->type, FrameType::kReply);
@@ -336,14 +364,19 @@ TEST_F(ServerTest, GracefulDrainFinishesInFlightAndRefusesQueued) {
   EXPECT_GT(stats.drain_micros, 0);
   // No snapshot leaked: the drained engine is back to a single live
   // state version.
-  EXPECT_EQ(engine_.snapshots_live(), 1);
+  EXPECT_EQ(engine.snapshots_live(), 1);
 
   // New connections are refused outright (the listener is closed).
   auto late = Connect("Brown");
   EXPECT_FALSE(late.ok());
 
-  // The engine itself is released from draining and fully usable.
-  EXPECT_TRUE(engine_.Execute("retrieve (A.X) where A.X = 1 as Brown").ok());
+  // The engine itself is released from draining and fully usable, and
+  // the drained commit is durable.
+  EXPECT_TRUE(engine.Execute("retrieve (A.X) where A.X = 1 as Brown").ok());
+  EXPECT_EQ(engine.db().GetRelation("A").value()->size(), 2);
+  server_.reset();
+  durable->reset();
+  std::remove(path.c_str());
 }
 
 TEST_F(ServerTest, CountersReconcileAndRenderAndStatsFrameWorks) {

@@ -21,6 +21,9 @@
 #      stalled peers, a seeded protocol fuzzer, and a
 #      kill-the-durable-backend-under-concurrent-load crash whose acked
 #      responses must all survive recovery
+#   6c. the regular test suite again, built as Release (-O2) in
+#      build-release, so timing-sensitive tests run at both optimisation
+#      levels
 #   7. a Release (-O2) build of bench_latemat and its --smoke gate: the
 #      late-materialized data pipeline must not be slower than the
 #      tuple-at-a-time optimizer on the reference join workload
@@ -112,6 +115,13 @@ if [ "${STEP_RESULTS[0]}" = "PASS" ]; then
   run_step "network torture" \
     ctest --test-dir build --output-on-failure -j "$JOBS" \
       -R NetworkTorture "$@"
+  release_unit_tests() {
+    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+      cmake --build build-release -j "$JOBS" &&
+      ctest --test-dir build-release --output-on-failure -j "$JOBS" \
+        -E 'Differential|CrashTorture|CacheCoherence|NetworkTorture' "$@"
+  }
+  run_step "unit tests (Release)" release_unit_tests "$@"
   latemat_smoke() {
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
       cmake --build build-release -j "$JOBS" --target bench_latemat &&
