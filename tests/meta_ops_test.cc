@@ -60,6 +60,13 @@ struct FourCaseParam {
   int64_t expect_hi;
 };
 
+// Without a printer gtest names each case by the raw bytes of the struct,
+// which include the label's address and padding and so differ per process.
+void PrintTo(const FourCaseParam& param, std::ostream* os) {
+  *os << param.label << " [" << param.query_lo << ", " << param.query_hi
+      << "]";
+}
+
 class FourCaseTest : public ::testing::TestWithParam<FourCaseParam> {};
 
 TEST_P(FourCaseTest, PaperScenario) {
